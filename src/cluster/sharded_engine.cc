@@ -435,7 +435,7 @@ Result<MaintenanceStats> ShardedEngine::Apply(const std::vector<Delta>& deltas,
 
   for (size_t s : touched) {
     Shard& shard = *shards_[s];
-    BQE_RETURN_IF_ERROR(shard.engine->Apply(split[s], policy).status());
+    BQE_RETURN_IF_ERROR(shard.engine->Apply(split[s], policy));
     shard.delta_batches_ctr.fetch_add(1, std::memory_order_relaxed);
     shard.deltas_routed_ctr.fetch_add(split[s].size(), std::memory_order_relaxed);
   }

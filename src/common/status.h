@@ -145,7 +145,9 @@ const Status& ToStatus(const Result<T>& r) {
 #define BQE_CONCAT_IMPL(a, b) a##b
 #define BQE_CONCAT(a, b) BQE_CONCAT_IMPL(a, b)
 
-/// Evaluates `expr` (a Status or Result); returns its Status on error.
+/// Evaluates `expr` (a Status or Result); returns its Status on error. Pass
+/// a Result itself, not `result.status()` of a temporary: the reference the
+/// macro binds would outlive the temporary.
 #define BQE_RETURN_IF_ERROR(expr)                              \
   do {                                                         \
     auto&& bqe_status_like_ = (expr);                          \

@@ -27,7 +27,7 @@ bool StrStartsWith(std::string_view s, std::string_view prefix);
 template <typename... Args>
 std::string StrCat(Args&&... args) {
   std::ostringstream os;
-  (os << ... << std::forward<Args>(args));
+  ((os << std::forward<Args>(args)), ...);
   return os.str();
 }
 

@@ -48,8 +48,14 @@ struct MaintenanceStats {
 };
 
 /// Applies Delta-D to the database, the indices I_A and (under kGrow) the
-/// schema A itself. Per Proposition 12 the work is O(N_A * |Delta-D|):
-/// each delta touches each index of its relation once, in O(1) expected.
+/// schema A itself. Per Proposition 12 the work is O(N_A * |Delta-D|),
+/// independent of |D|. Each delta makes one expected O(arity) hash probe
+/// in its base table (Table::Insert appends; Table::Erase locates the row
+/// by hash and swaps the last row in), then touches each index of its
+/// relation once: an expected O(1) probe for the X-bucket plus an
+/// O(log N) step in the bucket's ordered entry map, and the mirror patch.
+/// A relation's first delete builds its table's erase locator in O(|R|),
+/// once.
 ///
 /// Under kStrict, the function stops at the first violating insert and
 /// returns ConstraintViolation; previously applied deltas stay applied

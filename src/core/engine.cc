@@ -69,6 +69,14 @@ Status BoundedEngine::BuildIndices() {
 }
 
 Result<PrepareInfo> BoundedEngine::Prepare(const RaExprPtr& query) const {
+  BQE_ASSIGN_OR_RETURN(PrepareInfo info, PlanQuery(query));
+  if (info.covered) {
+    BQE_ASSIGN_OR_RETURN(info.sql, PlanToSql(info.plan));
+  }
+  return info;
+}
+
+Result<PrepareInfo> BoundedEngine::PlanQuery(const RaExprPtr& query) const {
   PrepareInfo info;
   BQE_ASSIGN_OR_RETURN(NormalizedQuery nq, Normalize(query, db_->catalog()));
   BQE_ASSIGN_OR_RETURN(info.report, CheckCoverage(nq, schema_));
@@ -103,7 +111,6 @@ Result<PrepareInfo> BoundedEngine::Prepare(const RaExprPtr& query) const {
   BQE_ASSIGN_OR_RETURN(CoverageReport plan_report,
                        CheckCoverage(nq, *plan_schema));
   BQE_ASSIGN_OR_RETURN(info.plan, GeneratePlan(nq, plan_report));
-  BQE_ASSIGN_OR_RETURN(info.sql, PlanToSql(info.plan));
   return info;
 }
 
@@ -145,7 +152,7 @@ Result<std::shared_ptr<const PreparedQuery>> BoundedEngine::PrepareCompiled(
   }
 
   auto pq = std::make_shared<PreparedQuery>();
-  BQE_ASSIGN_OR_RETURN(pq->info, Prepare(query));
+  BQE_ASSIGN_OR_RETURN(pq->info, PlanQuery(query));
   if (pq->info.covered) {
     BQE_ASSIGN_OR_RETURN(PhysicalPlan pp,
                          PhysicalPlan::Compile(pq->info.plan, indices_));

@@ -36,7 +36,7 @@ struct EngineOptions {
   bool baseline_fallback = true;
   /// Cache prepared queries (coverage + minimization + plan + compiled
   /// physical plan) keyed by query fingerprint and the bounds/schema
-  /// epoch, so a repeated Execute() of the same query skips C2-C5
+  /// epoch, so a repeated Execute() of the same query skips C2-C4
   /// entirely — including across data-only Apply() batches.
   bool plan_cache = true;
   /// Max cached prepared queries; incoherent entries are evicted first.
@@ -67,7 +67,7 @@ struct PrepareInfo {
   size_t constraints_used = 0;
   CoverageReport report;
   BoundedPlan plan;          ///< Valid when covered.
-  std::string sql;           ///< Plan2SQL output, when covered.
+  std::string sql;           ///< Plan2SQL output, when covered (Prepare only).
   std::string explanation;   ///< Human-readable coverage explanation.
 };
 
@@ -180,7 +180,7 @@ struct ExecuteResult {
 /// evaluation for non-covered queries.
 ///
 /// Repeated queries take the fast path: PrepareCompiled() memoizes the full
-/// C2-C5 pipeline plus physical-plan compilation behind a fingerprint
+/// C2-C4 pipeline plus physical-plan compilation behind a fingerprint
 /// (printed algebra form + exact type-tagged constant encoding) keyed to
 /// the *bounds/schema epoch*. Boundedness is a property of the access
 /// schema, not the data: data-only Apply() batches leave every cached plan
@@ -205,11 +205,13 @@ class BoundedEngine {
   /// Fails with ConstraintViolation if the data does not satisfy A.
   Status BuildIndices();
 
-  /// C2-C5 for one query (uncached analysis; no compilation).
+  /// C2-C5 for one query (uncached analysis; no compilation), with the
+  /// plan's SQL rendering in PrepareInfo::sql.
   Result<PrepareInfo> Prepare(const RaExprPtr& query) const;
 
-  /// Cached C2-C5 + physical compilation. `cache_hit` (optional) reports
-  /// whether the cached entry was reused.
+  /// Cached C2-C4 + physical compilation. `cache_hit` (optional) reports
+  /// whether the cached entry was reused. Serving never reads the SQL, so
+  /// the result's info.sql is left empty (render it with PlanToSql).
   Result<std::shared_ptr<const PreparedQuery>> PrepareCompiled(
       const RaExprPtr& query, bool* cache_hit = nullptr) const;
 
@@ -311,6 +313,9 @@ class BoundedEngine {
 
  private:
   size_t EffectiveThreads() const;
+
+  /// Prepare() without the SQL rendering: PrepareInfo::sql stays empty.
+  Result<PrepareInfo> PlanQuery(const RaExprPtr& query) const;
 
   /// True when a cached entry may still be served under the current
   /// bounds/schema epoch: the epoch matches and none of the plan's bound

@@ -1,11 +1,20 @@
 #include "storage/table.h"
 
 #include <algorithm>
+#include <cassert>
+#include <limits>
 #include <unordered_set>
 
 #include "common/strings.h"
 
 namespace bqe {
+
+namespace {
+
+constexpr uint32_t kEmptySlot = std::numeric_limits<uint32_t>::max();
+constexpr size_t kMinSlots = 16;
+
+}  // namespace
 
 Status Table::Insert(Tuple row) {
   if (row.size() != schema_.arity()) {
@@ -21,7 +30,7 @@ Status Table::Insert(Tuple row) {
                  ", want ", ValueTypeName(schema_.attrs()[i].type)));
     }
   }
-  rows_.push_back(std::move(row));
+  InsertUnchecked(std::move(row));
   return Status::Ok();
 }
 
@@ -44,23 +53,82 @@ Status Table::AppendBatch(const ColumnBatch& batch) {
   }
   rows_.reserve(rows_.size() + batch.num_rows());
   for (size_t i = 0; i < batch.num_rows(); ++i) {
-    rows_.push_back(batch.RowToTuple(i));
+    InsertUnchecked(batch.RowToTuple(i));
   }
   return Status::Ok();
 }
 
-Status Table::Erase(const Tuple& row) {
-  for (auto it = rows_.begin(); it != rows_.end(); ++it) {
-    if (CompareTuples(*it, row) == 0) {
-      rows_.erase(it);
-      return Status::Ok();
+size_t Table::HomeSlot(const Tuple& row) const {
+  // Fibonacci hashing: TupleHash folds identity-hashed integers, so its low
+  // bits are weak; the product's high bits are not.
+  int bits = __builtin_ctzll(slots_.size());
+  return static_cast<size_t>((static_cast<uint64_t>(TupleHash{}(row)) *
+                              0x9e3779b97f4a7c15ULL) >> (64 - bits));
+}
+
+void Table::PlaceRow(size_t pos) {
+  assert(pos < kEmptySlot);
+  const size_t mask = slots_.size() - 1;
+  size_t i = HomeSlot(rows_[pos]);
+  while (slots_[i] != kEmptySlot) i = (i + 1) & mask;
+  slots_[i] = static_cast<uint32_t>(pos);
+}
+
+void Table::RebuildLocator() {
+  size_t cap = kMinSlots;
+  while (cap * 3 < rows_.size() * 4) cap *= 2;
+  slots_.assign(cap, kEmptySlot);
+  for (size_t pos = 0; pos < rows_.size(); ++pos) PlaceRow(pos);
+}
+
+void Table::LocateLastRow() {
+  if (rows_.size() * 4 > slots_.size() * 3) {
+    RebuildLocator();
+  } else {
+    PlaceRow(rows_.size() - 1);
+  }
+}
+
+void Table::FreeSlot(size_t hole) {
+  const size_t mask = slots_.size() - 1;
+  for (size_t j = (hole + 1) & mask; slots_[j] != kEmptySlot;
+       j = (j + 1) & mask) {
+    // The entry at j may fill the hole unless its home slot lies cyclically
+    // after the hole, in (hole, j].
+    size_t home = HomeSlot(rows_[slots_[j]]);
+    if (((j - home) & mask) >= ((j - hole) & mask)) {
+      slots_[hole] = slots_[j];
+      hole = j;
     }
+  }
+  slots_[hole] = kEmptySlot;
+}
+
+Status Table::Erase(const Tuple& row) {
+  if (slots_.empty()) RebuildLocator();
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = HomeSlot(row); slots_[i] != kEmptySlot;
+       i = (i + 1) & mask) {
+    if (CompareTuples(rows_[slots_[i]], row) != 0) continue;
+    const uint32_t pos = slots_[i];
+    const uint32_t last = static_cast<uint32_t>(rows_.size() - 1);
+    FreeSlot(i);
+    if (pos != last) {
+      // The last row moves into the freed position; repoint its slot.
+      size_t k = HomeSlot(rows_[last]);
+      while (slots_[k] != last) k = (k + 1) & mask;
+      slots_[k] = pos;
+      rows_[pos] = std::move(rows_[last]);
+    }
+    rows_.pop_back();
+    return Status::Ok();
   }
   return Status::NotFound(StrCat("row ", TupleToString(row), " not in ",
                                  schema_.name()));
 }
 
 void Table::Canonicalize() {
+  std::vector<uint32_t>().swap(slots_);
   std::sort(rows_.begin(), rows_.end(), TupleLess{});
   rows_.erase(std::unique(rows_.begin(), rows_.end()), rows_.end());
 }
@@ -90,7 +158,8 @@ Table Table::DistinctProject(const std::vector<int>& col_idx) const {
 }
 
 size_t Table::ApproxBytes() const {
-  size_t bytes = sizeof(Table) + rows_.capacity() * sizeof(Tuple);
+  size_t bytes = sizeof(Table) + rows_.capacity() * sizeof(Tuple) +
+                 slots_.capacity() * sizeof(uint32_t);
   for (const Tuple& row : rows_) {
     bytes += row.capacity() * sizeof(Value);
     for (const Value& v : row) {

@@ -2,8 +2,10 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <functional>
+#include <limits>
 
 #include "common/strings.h"
 
@@ -36,7 +38,12 @@ int Value::Compare(const Value& other) const {
     }
     case ValueType::kDouble: {
       double a = AsDouble(), b = other.AsDouble();
-      return a < b ? -1 : (a > b ? 1 : 0);
+      if (a < b) return -1;
+      if (a > b) return 1;
+      // Equal numbers (-0.0 equals 0.0), or a NaN: NaN sorts after every
+      // number and equals only NaN, so the order stays total.
+      bool a_nan = std::isnan(a), b_nan = std::isnan(b);
+      return a_nan == b_nan ? 0 : (a_nan ? 1 : -1);
     }
     case ValueType::kString:
       return AsString().compare(other.AsString());
@@ -52,9 +59,14 @@ size_t Value::Hash() const {
     case ValueType::kInt:
       HashCombine(&seed, std::hash<int64_t>{}(AsInt()));
       break;
-    case ValueType::kDouble:
-      HashCombine(&seed, std::hash<double>{}(AsDouble()));
+    case ValueType::kDouble: {
+      // Hash as Compare equates: every NaN alike, and -0.0 like 0.0.
+      double d = AsDouble();
+      if (std::isnan(d)) d = std::numeric_limits<double>::quiet_NaN();
+      if (d == 0.0) d = 0.0;
+      HashCombine(&seed, std::hash<double>{}(d));
       break;
+    }
     case ValueType::kString:
       HashCombine(&seed, std::hash<std::string>{}(AsString()));
       break;

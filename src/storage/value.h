@@ -19,7 +19,9 @@ const char* ValueTypeName(ValueType t);
 ///
 /// Ordering and equality are total: values order first by type tag, then by
 /// payload. This gives deterministic sorting of heterogeneous tuples; query
-/// predicates in practice always compare same-typed values.
+/// predicates in practice always compare same-typed values. Doubles order
+/// numerically with -0.0 equal to 0.0, and NaN sorts after every number and
+/// equals only NaN; Hash() agrees with this equality.
 class Value {
  public:
   /// Constructs NULL.

@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <set>
+
+#include "common/rng.h"
+#include "exec/column_batch.h"
 #include "storage/database.h"
 #include "storage/tuple.h"
 
@@ -62,6 +69,35 @@ TEST(ValueTest, HashConsistentWithEquality) {
   EXPECT_EQ(Value::Int(7).Hash(), Value::Int(7).Hash());
   // Different types with "same" payload should (overwhelmingly) differ.
   EXPECT_NE(Value::Int(0).Hash(), Value().Hash());
+}
+
+TEST(ValueTest, DoubleNaNHasTotalOrder) {
+  const double inf = std::numeric_limits<double>::infinity();
+  Value nan = Value::Double(std::numeric_limits<double>::quiet_NaN());
+  Value other_nan = Value::Double(-std::nan("7"));
+  EXPECT_EQ(nan.Compare(other_nan), 0);
+  EXPECT_GT(nan.Compare(Value::Double(inf)), 0);
+  EXPECT_LT(Value::Double(1.0).Compare(nan), 0);
+  EXPECT_NE(nan, Value::Double(1.0));
+  EXPECT_EQ(Value::Double(-0.0), Value::Double(0.0));
+
+  std::vector<Value> v = {nan, Value::Double(2), Value::Double(-inf),
+                          other_nan, Value::Double(1)};
+  std::sort(v.begin(), v.end());
+  EXPECT_EQ(v[0], Value::Double(-inf));
+  EXPECT_EQ(v[1], Value::Double(1));
+  EXPECT_EQ(v[2], Value::Double(2));
+  EXPECT_TRUE(std::isnan(v[3].AsDouble()) && std::isnan(v[4].AsDouble()));
+}
+
+TEST(ValueTest, DoubleHashAgreesWithCompare) {
+  EXPECT_EQ(Value::Double(-0.0).Hash(), Value::Double(0.0).Hash());
+  Value nan = Value::Double(std::numeric_limits<double>::quiet_NaN());
+  EXPECT_EQ(nan.Hash(), Value::Double(-std::nan("7")).Hash());
+  EXPECT_EQ(nan.Hash(), Value::Double(std::nan("12345")).Hash());
+  TupleHash th;
+  EXPECT_EQ(th({Value::Int(1), Value::Double(-0.0), nan}),
+            th({Value::Int(1), Value::Double(0.0), Value::Double(std::nan(""))}));
 }
 
 TEST(ValueTest, ParseLiterals) {
@@ -212,6 +248,141 @@ TEST(TableTest, EraseRemovesOneOccurrence) {
   ASSERT_TRUE(t.Erase({Value::Int(1), Value::Str("x")}).ok());
   EXPECT_EQ(t.Erase({Value::Int(1), Value::Str("x")}).code(),
             StatusCode::kNotFound);
+}
+
+TEST(TableTest, EraseMatchesDoublesAsCompareDoes) {
+  Table t(RelationSchema("d", {{"x", ValueType::kDouble}}));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  ASSERT_TRUE(t.Insert({Value::Double(1.0)}).ok());
+  ASSERT_TRUE(t.Insert({Value::Double(-std::nan("3"))}).ok());
+  ASSERT_TRUE(t.Insert({Value::Double(0.0)}).ok());
+  // Any NaN deletes the NaN row, and never a number.
+  ASSERT_TRUE(t.Erase({Value::Double(nan)}).ok());
+  EXPECT_EQ(t.Erase({Value::Double(nan)}).code(), StatusCode::kNotFound);
+  // -0.0 equals 0.0.
+  ASSERT_TRUE(t.Erase({Value::Double(-0.0)}).ok());
+  ASSERT_EQ(t.NumRows(), 1u);
+  EXPECT_EQ(t.rows()[0][0], Value::Double(1.0));
+}
+
+TEST(TableTest, EraseOnEmptyTableIsNotFound) {
+  Table t = MakeTable();
+  EXPECT_EQ(t.Erase({Value::Int(1), Value::Str("x")}).code(),
+            StatusCode::kNotFound);
+  ASSERT_TRUE(t.Insert({Value::Int(1), Value::Str("x")}).ok());
+  ASSERT_TRUE(t.Erase({Value::Int(1), Value::Str("x")}).ok());
+  EXPECT_EQ(t.NumRows(), 0u);
+}
+
+/// True if the table holds exactly the bag `ref`.
+bool SameBag(const Table& t, const std::multiset<Tuple, TupleLess>& ref) {
+  std::vector<Tuple> rows = t.rows();
+  std::sort(rows.begin(), rows.end(), TupleLess{});
+  return rows == std::vector<Tuple>(ref.begin(), ref.end());
+}
+
+// Differential loop: every appender, located erase of present, duplicate
+// and absent rows, Canonicalize, and copy-then-mutate, checked against a
+// std::multiset reference bag after every step. Small value domains (with
+// NaNs of several payloads and both zeros) make duplicates and equal-hash
+// probe runs common; phases alternate between growing and shrinking so the
+// locator is both grown and drained.
+TEST(TableTest, LocatedEraseMatchesMultisetReference) {
+  const RelationSchema schema("r", {{"a", ValueType::kInt},
+                                    {"b", ValueType::kString},
+                                    {"c", ValueType::kDouble}});
+  const std::vector<std::string> strs = {"x", "y", "zz"};
+  const std::vector<double> dbls = {0.0, -0.0, 1.5,
+                                    std::numeric_limits<double>::quiet_NaN(),
+                                    -std::nan("9")};
+  Rng rng(20160626);
+  auto random_row = [&] {
+    return Tuple{Value::Int(rng.UniformInt(0, 19)),
+                 Value::Str(rng.Pick(strs)), Value::Double(rng.Pick(dbls))};
+  };
+
+  Table t(schema);
+  std::multiset<Tuple, TupleLess> ref;
+  size_t erased = 0, misses = 0, copies = 0;
+  for (int step = 0; step < 10000; ++step) {
+    const bool growing = (step / 1000) % 2 == 0;
+    const int op = static_cast<int>(rng.UniformInt(0, 99));
+    if (op < (growing ? 20 : 10)) {
+      Tuple row = random_row();
+      ref.insert(row);
+      ASSERT_TRUE(t.Insert(std::move(row)).ok());
+    } else if (op < (growing ? 40 : 20)) {
+      Tuple row = random_row();
+      ref.insert(row);
+      t.InsertUnchecked(std::move(row));
+    } else if (op < (growing ? 50 : 25)) {
+      ColumnBatch batch(t.ColumnTypes());
+      const int n = static_cast<int>(rng.UniformInt(0, 12));
+      for (int i = 0; i < n; ++i) {
+        Tuple row = random_row();
+        batch.AppendTuple(row);
+        ref.insert(std::move(row));
+      }
+      ASSERT_TRUE(t.AppendBatch(batch).ok());
+    } else if (op < 80) {
+      // A present row, duplicated first half of the time.
+      if (t.NumRows() == 0) continue;
+      Tuple row = t.rows()[rng.PickIndex(t.NumRows())];
+      if (rng.Bernoulli(0.5)) {
+        t.InsertUnchecked(row);
+        ref.insert(row);
+      }
+      ASSERT_TRUE(t.Erase(row).ok()) << TupleToString(row);
+      ref.erase(ref.find(row));
+      ++erased;
+    } else if (op < 97) {
+      // A random row, often absent: NotFound must leave the table as is.
+      Tuple row = random_row();
+      auto it = ref.find(row);
+      if (it == ref.end()) {
+        std::vector<Tuple> before = t.rows();
+        EXPECT_EQ(t.Erase(row).code(), StatusCode::kNotFound);
+        ASSERT_TRUE(t.rows() == before);
+        ++misses;
+      } else {
+        ASSERT_TRUE(t.Erase(row).ok());
+        ref.erase(it);
+        ++erased;
+      }
+    } else if (op < 98) {
+      t.Canonicalize();
+      std::set<Tuple, TupleLess> distinct(ref.begin(), ref.end());
+      ref = std::multiset<Tuple, TupleLess>(distinct.begin(), distinct.end());
+      ASSERT_TRUE(std::is_sorted(t.rows().begin(), t.rows().end(),
+                                 TupleLess{}));
+    } else {
+      // A copy carries its own locator: mutating it leaves the original,
+      // and the original's next mutations leave the copy.
+      Table copy = t;
+      std::multiset<Tuple, TupleLess> copy_ref = ref;
+      if (copy.NumRows() > 0) {
+        Tuple row = copy.rows()[rng.PickIndex(copy.NumRows())];
+        ASSERT_TRUE(copy.Erase(row).ok());
+        copy_ref.erase(copy_ref.find(row));
+      }
+      Tuple extra = random_row();
+      copy.InsertUnchecked(extra);
+      copy_ref.insert(extra);
+      ASSERT_TRUE(SameBag(t, ref));
+      if (t.NumRows() > 0) {
+        Tuple row = t.rows()[0];
+        ASSERT_TRUE(t.Erase(row).ok());
+        ref.erase(ref.find(row));
+      }
+      ASSERT_TRUE(SameBag(copy, copy_ref));
+      ++copies;
+    }
+    ASSERT_TRUE(SameBag(t, ref)) << "after step " << step;
+  }
+  // The loop really exercised every path.
+  EXPECT_GT(erased, 2000u);
+  EXPECT_GT(misses, 100u);
+  EXPECT_GT(copies, 50u);
 }
 
 TEST(TableTest, CanonicalizeSortsAndDedupes) {
