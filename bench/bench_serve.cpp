@@ -8,8 +8,8 @@
 //   service       the src/serve QueryService: bounded-queue admission,
 //                 same-fingerprint batching (one execution fans out to all
 //                 coalesced callers), pinned-plan execution (no cache lock),
-//                 sharded dispatch with fair-share tagged task groups, and
-//                 deltas through the writer-priority gate.
+//                 concurrent dispatchers with fair-share tagged task
+//                 groups, and deltas through the writer-priority gate.
 //
 // Correctness is differential: both modes apply the identical delta set,
 // and each mode's final per-query answer must match a freshly prepared

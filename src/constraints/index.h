@@ -181,10 +181,10 @@ class AccessIndex {
   /// Serving-layer freeze observability: invoked under the freeze mutex
   /// after every full mirror (re)build EnsureFrozen() performs, i.e. each
   /// time a lazy rebuild actually fires on a probe path. The QueryService
-  /// installs one per index so shard-local freezes that happen *during
-  /// serving* (a patch budget blown by delta churn, paid by the next
-  /// execution touching that relation) surface in its stats instead of
-  /// hiding inside execution latency. The hook must be fast and must not
+  /// installs one per index so freezes that happen *during serving* (a
+  /// patch budget blown by delta churn, paid by the next execution touching
+  /// that relation) surface in its stats instead of hiding inside
+  /// execution latency. The hook must be fast and must not
   /// re-enter this index. Installing (SetFreezeHook) counts as maintenance:
   /// externally serialize it against readers like any writer.
   using FreezeHook = std::function<void(const AccessIndex&)>;

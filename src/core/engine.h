@@ -241,9 +241,9 @@ class BoundedEngine {
   /// AccessIndex bindings are live; a blown patch budget just means the
   /// next execution pays a mirror rebuild) — incoherence only means the
   /// cache would no longer hand it out. `num_threads` (0 = the engine's
-  /// own EffectiveThreads) lets a shard-aware scheduler partition morsel
-  /// workers across concurrent executions instead of oversubscribing every
-  /// request onto the full pool.
+  /// own EffectiveThreads) lets a serving layer with several dispatchers
+  /// partition morsel workers across concurrent executions instead of
+  /// oversubscribing every request onto the full pool.
   Result<ExecuteResult> ExecutePrepared(const PreparedQuery& pq,
                                         uint64_t task_tag = 0,
                                         size_t num_threads = 0) const;

@@ -24,10 +24,15 @@ std::string Enc(const Tuple& t) {
   return s;
 }
 
+/// The estimate of one retained row. It counts sizes, not capacities: the
+/// copy a map or bag stores need not have the capacity of the tuple it was
+/// copied from (a Concat result keeps the spare room its growth left), so a
+/// capacity-based charge on insert and a capacity-based credit on removal
+/// would count different tuples and drift apart under churn.
 size_t TupleBytes(const Tuple& t) {
-  size_t b = sizeof(Tuple) + t.capacity() * sizeof(Value);
+  size_t b = sizeof(Tuple) + t.size() * sizeof(Value);
   for (const Value& v : t) {
-    if (v.type() == ValueType::kString) b += v.AsString().capacity();
+    if (v.type() == ValueType::kString) b += v.AsString().size();
   }
   return b;
 }
@@ -155,10 +160,8 @@ double MicrosSince(std::chrono::steady_clock::time_point from,
 struct PlanMaintenance::OpState {
   std::unordered_map<std::string, FetchEntry> probed;          // kFetch.
   /// Bucket patch-log cursor for this op's index binding (kFetch): where
-  /// the last Build/Refresh left off. Opaque to this layer beyond "empty
-  /// means uninitialized" — one element for a direct binding, one per
-  /// shard for a routed one; see IndexPatchLogFn.
-  std::vector<uint64_t> log_stamp;                             // kFetch.
+  /// the last Build/Refresh left off.
+  uint64_t log_stamp = 0;                                      // kFetch.
   BagIndex left, right;                                        // kJoin/kProduct.
   std::unordered_map<std::string, CountEntry> counts;          // dedupe/kUnion.
   std::unordered_map<std::string, CountEntry> lcounts, rcounts;  // kDiff.
@@ -168,15 +171,12 @@ PlanMaintenance::~PlanMaintenance() = default;
 
 std::unique_ptr<PlanMaintenance> PlanMaintenance::Build(
     const WriterPriorityGate& gate, std::shared_ptr<const PhysicalPlan> plan,
-    const Table& result, size_t max_bytes, bool* size_exceeded,
-    IndexFetchFn fetch, IndexPatchLogFn log) {
+    const Table& result, size_t max_bytes, bool* size_exceeded) {
   (void)gate;  // Capability parameter: the REQUIRES_SHARED contract is it.
   if (size_exceeded != nullptr) *size_exceeded = false;
   if (plan == nullptr) return nullptr;
   std::unique_ptr<PlanMaintenance> m(new PlanMaintenance());
   m->plan_ = std::move(plan);
-  m->fetch_ = std::move(fetch);
-  m->log_ = std::move(log);
   const std::vector<PhysicalOp>& ops = m->plan_->ops();
   const int output = m->plan_->output();
   if (output < 0 || output >= static_cast<int>(ops.size())) return nullptr;
@@ -207,7 +207,7 @@ std::unique_ptr<PlanMaintenance> PlanMaintenance::Build(
         // Stamp the index's bucket patch log at the retained buckets'
         // resolution point: Refresh() replays exactly the events logged
         // after this onto them.
-        if (!m->LogVia(*op.index, &st.log_stamp, nullptr)) return nullptr;
+        st.log_stamp = op.index->patch_log_stamp();
         // The fetch step probes with the *distinct* input rows; retain each
         // key's multiplicity so input deltas only matter on 0 <-> 1.
         for (const Tuple& key : rows[static_cast<size_t>(op.input)]) {
@@ -221,7 +221,7 @@ std::unique_ptr<PlanMaintenance> PlanMaintenance::Build(
           e.key = key;
           e.count = 1;
           *bytes += TupleBytes(key) + kEntryOverhead;
-          for (Tuple& r : m->FetchVia(*op.index, key)) {
+          for (Tuple& r : op.index->Fetch(key)) {
             *bytes += TupleBytes(r) + kEntryOverhead;
             out.push_back(r);
             e.bucket.emplace(Enc(r), std::move(r));
@@ -439,7 +439,7 @@ RefreshOutcome PlanMaintenance::Refresh(
             e.key = key;
             e.count = 1;
             *bytes += TupleBytes(key) + kEntryOverhead;
-            for (Tuple& r : FetchVia(*op.index, key)) {
+            for (Tuple& r : op.index->Fetch(key)) {
               *bytes += TupleBytes(r) + kEntryOverhead;
               out.plus.push_back(r);
               e.bucket.emplace(Enc(r), std::move(r));
@@ -456,8 +456,13 @@ RefreshOutcome PlanMaintenance::Refresh(
               by_rel.end()) {
             break;
           }
+          // The cursor moves to "now" even when events were lost to a
+          // budget-forced mirror rebuild (PatchLogSince false): the
+          // wholesale fallback below brings the buckets to "now" too.
           std::vector<BucketPatch> events;
-          if (LogVia(*op.index, &st.log_stamp, &events)) {
+          const bool logged = op.index->PatchLogSince(st.log_stamp, &events);
+          st.log_stamp = op.index->patch_log_stamp();
+          if (logged) {
             for (BucketPatch& ev : events) {
               std::string ek = Enc(ev.key);
               auto it = st.probed.find(ek);
@@ -500,8 +505,7 @@ RefreshOutcome PlanMaintenance::Refresh(
               if (fresh_keys.count(ek) != 0) continue;  // Already post-batch.
               if (!redone.insert(ek).second) continue;  // One fetch per key.
               if (stats != nullptr) ++stats->bucket_refetch_fallbacks;
-              RediffBucket(&it->second, FetchVia(*op.index, key), &out,
-                           bytes);
+              RediffBucket(&it->second, op.index->Fetch(key), &out, bytes);
             }
           }
           break;

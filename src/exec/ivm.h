@@ -2,7 +2,6 @@
 #define BQE_EXEC_IVM_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_set>
@@ -15,36 +14,6 @@
 #include "storage/table.h"
 
 namespace bqe {
-
-/// Fetch indirection for maintenance replay/refresh: given the plan's
-/// *bound* AccessIndex for a fetch step and a probe key, return the bucket
-/// rows. The default (an empty function) probes the binding directly —
-/// correct when the binding indexes the full database. A sharded engine
-/// passes its router here instead, so the probe goes to the *owning
-/// shard's* index for that key (the binding belongs to whichever shard
-/// planned the query and holds only a partial replica); the binding still
-/// supplies all per-constraint metadata (FetchKeyOf, constraint id), which
-/// is schema-determined and identical across shards.
-using IndexFetchFn =
-    std::function<std::vector<Tuple>(const AccessIndex&, const Tuple&)>;
-
-/// Patch-log indirection, the sibling of IndexFetchFn: drains the signed
-/// bucket mutations (BucketPatch) logged against `binding`'s constraint
-/// since `*stamp`, appends them to `out` in application order, and advances
-/// `*stamp` to the current log position — even on failure, so the consumer
-/// resumes from "now" after its wholesale fallback. An empty `*stamp`
-/// means "initialize to the current position, emit nothing" (handle
-/// construction). Returns false when events were lost to a budget-forced
-/// mirror rebuild since the stamp; the consumer must then re-resolve its
-/// retained buckets wholesale (see AccessIndex::PatchLogSince). The
-/// default (an empty function) reads the binding's own log with a
-/// one-element stamp. A sharded engine instead keeps one stamp per shard
-/// and reads each shard's log for the same constraint, filtering to events
-/// whose bucket key that shard *owns* — replication lands a row in every
-/// shard holding one of its fetch keys, so a non-owner replica logs the
-/// same transition and unfiltered concatenation would double-count it.
-using IndexPatchLogFn = std::function<bool(
-    const AccessIndex&, std::vector<uint64_t>*, std::vector<BucketPatch>*)>;
 
 /// Outcome of one PlanMaintenance::Refresh().
 enum class RefreshOutcome {
@@ -157,18 +126,13 @@ class PlanMaintenance {
   /// unbounded; `*size_exceeded` is always written when the pointer is
   /// given (false on every other outcome, success included).
   /// `gate` is the serving gate whose (at least shared) hold keeps the
-  /// replayed tables stable for the duration of the build. `fetch` (when
-  /// non-empty) redirects every index probe — build replay and refresh
-  /// re-resolution alike; see IndexFetchFn. `log` (when non-empty)
-  /// likewise redirects the bucket patch-log reads Refresh() consumes for
-  /// index-side deltas; see IndexPatchLogFn. Pass both or neither: the
-  /// default pair reads the bindings directly, the sharded pair routes
-  /// both to the owning shards.
+  /// replayed tables stable for the duration of the build. Every probe —
+  /// build replay and refresh re-resolution alike — goes to the plan's own
+  /// AccessIndex bindings, which index the full database.
   static std::unique_ptr<PlanMaintenance> Build(
       const WriterPriorityGate& gate, std::shared_ptr<const PhysicalPlan> plan,
       const Table& result, size_t max_bytes = static_cast<size_t>(-1),
-      bool* size_exceeded = nullptr, IndexFetchFn fetch = {},
-      IndexPatchLogFn log = {}) REQUIRES_SHARED(gate);
+      bool* size_exceeded = nullptr) REQUIRES_SHARED(gate);
 
   ~PlanMaintenance();
 
@@ -201,28 +165,7 @@ class PlanMaintenance {
 
   PlanMaintenance() = default;
 
-  /// Probes `idx` through fetch_ when installed, directly otherwise.
-  std::vector<Tuple> FetchVia(const AccessIndex& idx, const Tuple& key) const {
-    return fetch_ ? fetch_(idx, key) : idx.Fetch(key);
-  }
-
-  /// Drains `idx`'s bucket patch log through log_ when installed, directly
-  /// otherwise; same contract as IndexPatchLogFn (empty stamp initializes).
-  bool LogVia(const AccessIndex& idx, std::vector<uint64_t>* stamp,
-              std::vector<BucketPatch>* out) const {
-    if (log_) return log_(idx, stamp, out);
-    if (stamp->empty()) {
-      stamp->push_back(idx.patch_log_stamp());
-      return true;
-    }
-    const bool ok = idx.PatchLogSince((*stamp)[0], out);
-    (*stamp)[0] = idx.patch_log_stamp();
-    return ok;
-  }
-
   std::shared_ptr<const PhysicalPlan> plan_;
-  IndexFetchFn fetch_;  ///< See Build(); empty = probe bindings directly.
-  IndexPatchLogFn log_;  ///< See Build(); empty = read bindings' logs.
   std::vector<std::unique_ptr<OpState>> states_;  // Index-aligned with ops().
   /// Relations the plan's fetch indices read: the delta classification set.
   std::unordered_set<std::string> read_rels_;

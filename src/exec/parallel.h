@@ -33,7 +33,7 @@ class WorkerPool {
     /// Max concurrent workers in this group, *including* the caller.
     /// Clamped to [1, min(kMaxThreads, n)].
     size_t workers = 1;
-    /// Identity tag (request / shard id) carried for observability; the
+    /// Identity tag (e.g. a request id) carried for observability; the
     /// serving layer tags each query's morsel work with its request id
     /// (threaded through ExecOptions::task_tag) so concurrent requests are
     /// distinguishable task groups rather than one anonymous queue.

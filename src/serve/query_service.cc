@@ -10,15 +10,7 @@ namespace bqe {
 namespace serve {
 
 QueryService::QueryService(BoundedEngine* engine, ServiceOptions opts)
-    : QueryService(engine, nullptr, opts) {}
-
-QueryService::QueryService(cluster::ShardedEngine* sharded, ServiceOptions opts)
-    : QueryService(nullptr, sharded, opts) {}
-
-QueryService::QueryService(BoundedEngine* engine,
-                           cluster::ShardedEngine* sharded, ServiceOptions opts)
     : engine_(engine),
-      sharded_(sharded),
       opts_(opts),
       queue_(std::max<size_t>(1, opts.queue_capacity)),
       window_(std::max<size_t>(1, opts.batch_window), opts.batch_horizon_us),
@@ -27,8 +19,8 @@ QueryService::QueryService(BoundedEngine* engine,
   opts_.batch_window = std::max<size_t>(1, opts_.batch_window);
   opts_.pin_capacity = std::max<size_t>(1, opts_.pin_capacity);
   if (opts_.exec_threads == 0) {
-    // Shard-aware partition: concurrent dispatchers split the hardware
-    // instead of each oversubscribing the full pool.
+    // Concurrent dispatchers split the hardware instead of each
+    // oversubscribing the full pool.
     unsigned hw = std::thread::hardware_concurrency();
     opts_.exec_threads = std::max<size_t>(1, (hw == 0 ? 1 : hw) / opts_.shards);
   }
@@ -36,14 +28,9 @@ QueryService::QueryService(BoundedEngine* engine,
   // the next execution probing that relation) surface in stats().freezes.
   // Installation happens before any dispatcher runs, so it is ordered
   // before all service reads.
-  AccessIndex::FreezeHook hook = [this](const AccessIndex&) {
+  engine_->indices().SetFreezeHook([this](const AccessIndex&) {
     freezes_.fetch_add(1, std::memory_order_relaxed);
-  };
-  if (engine_ != nullptr) {
-    engine_->indices().SetFreezeHook(std::move(hook));
-  } else {
-    sharded_->SetFreezeHook(std::move(hook));
-  }
+  });
   if (!opts_.start_paused) Start();
 }
 
@@ -54,7 +41,7 @@ void QueryService::Start() {
   if (started_ || shut_down_) return;
   started_ = true;
   for (size_t s = 0; s < opts_.shards; ++s) {
-    dispatchers_.emplace_back([this] { ShardMain(); });
+    dispatchers_.emplace_back([this] { DispatchMain(); });
   }
 }
 
@@ -88,11 +75,7 @@ void QueryService::Shutdown() {
   // Detach the freeze hooks: they capture `this`, and the engine may
   // outlive the service. No dispatcher is running and callers are expected
   // to have stopped racing the engine with a dying service.
-  if (engine_ != nullptr) {
-    engine_->indices().SetFreezeHook(AccessIndex::FreezeHook{});
-  } else {
-    sharded_->SetFreezeHook(AccessIndex::FreezeHook{});
-  }
+  engine_->indices().SetFreezeHook(AccessIndex::FreezeHook{});
 }
 
 QueryService::Request QueryService::MakeQueryRequest(RaExprPtr query) {
@@ -154,7 +137,7 @@ std::future<QueryResponse> QueryService::Submit(RaExprPtr query) {
   // (a torn read can only miss, never serve stale).
   QueryResponse cached;
   if (accepting_.load(std::memory_order_acquire) &&
-      TryServeFromResultCache(r.fingerprint, CoherenceNow(), &cached)) {
+      TryServeFromResultCache(r.fingerprint, engine_->Coherence(), &cached)) {
     // Hits on IVM-patched entries are accounted separately so the five-way
     // request identity (executed + coalesced + admission + window +
     // refreshed hits) stays exact.
@@ -176,7 +159,7 @@ std::future<QueryResponse> QueryService::TrySubmit(RaExprPtr query) {
   std::future<QueryResponse> f = r.query_promise.get_future();
   QueryResponse cached;
   if (accepting_.load(std::memory_order_acquire) &&
-      TryServeFromResultCache(r.fingerprint, CoherenceNow(), &cached)) {
+      TryServeFromResultCache(r.fingerprint, engine_->Coherence(), &cached)) {
     (cached.result_refreshed ? rc_refreshed_hits_ : rc_admission_hits_)
         .fetch_add(1, std::memory_order_relaxed);
     r.query_promise.set_value(std::move(cached));
@@ -216,7 +199,7 @@ DeltaResponse QueryService::ApplyDeltas(std::vector<Delta> deltas,
   return SubmitDeltas(std::move(deltas), policy).get();
 }
 
-void QueryService::ShardMain() {
+void QueryService::DispatchMain() {
   std::vector<Request> chunk;
   while (queue_.PopChunk(EffectiveWindow(), &chunk) > 0) {
     batches_.fetch_add(1, std::memory_order_relaxed);
@@ -236,14 +219,10 @@ void QueryService::ShardMain() {
 Result<std::shared_ptr<const PreparedQuery>> QueryService::ResolvePin(
     const std::string& fingerprint, const RaExprPtr& query, bool* pin_hit) {
   *pin_hit = false;
-  auto still_coherent = [this](const std::string& fp, const PreparedQuery& pq) {
-    return engine_ != nullptr ? engine_->StillCoherent(pq)
-                              : sharded_->StillCoherent(fp, pq);
-  };
   {
     MutexLock lk(&pin_mu_);
     auto it = pins_.find(fingerprint);
-    if (it != pins_.end() && still_coherent(fingerprint, *it->second)) {
+    if (it != pins_.end() && engine_->StillCoherent(*it->second)) {
       *pin_hit = true;
       pin_hits_.fetch_add(1, std::memory_order_relaxed);
       return it->second;
@@ -252,12 +231,9 @@ Result<std::shared_ptr<const PreparedQuery>> QueryService::ResolvePin(
   // Coherence moved (or first sight): resolve through the engine cache.
   // This is the only serving path that touches the plan-cache lock, and
   // data-only Apply batches never take it — that is the zero-re-prepare
-  // guarantee serve_stress_test pins through stats(). Sharded mode keeps
-  // the guarantee per planning shard: the fingerprint always resolves
-  // through the same shard's cache.
+  // guarantee serve_stress_test pins through stats().
   BQE_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedQuery> pq,
-                       engine_ != nullptr ? engine_->PrepareCompiled(query)
-                                          : sharded_->PrepareCompiled(query));
+                       engine_->PrepareCompiled(query));
   repins_.fetch_add(1, std::memory_order_relaxed);
   MutexLock lk(&pin_mu_);
   if (pins_.size() >= opts_.pin_capacity &&
@@ -265,7 +241,7 @@ Result<std::shared_ptr<const PreparedQuery>> QueryService::ResolvePin(
     // Drop stale pins first; a full map of live pins resets wholesale
     // (mirroring the engine cache's eviction policy).
     for (auto it = pins_.begin(); it != pins_.end();) {
-      if (!still_coherent(it->first, *it->second)) {
+      if (!engine_->StillCoherent(*it->second)) {
         it = pins_.erase(it);
       } else {
         ++it;
@@ -297,26 +273,25 @@ void QueryService::DeclineMaintenance(const std::string& fingerprint) {
 void QueryService::ProcessChunk(std::vector<Request>* chunk) {
   // Writes first: deltas admitted in the same batching window apply before
   // the window's reads execute (read-your-writes within one window). Across
-  // windows there is no global order with shards > 1 — concurrent
-  // dispatchers interleave freely; a client that needs a query to observe
-  // its own earlier delta must wait on the delta's future first (or run a
-  // single-shard service). Each batch holds the exclusive gate side —
-  // writer priority means it does not starve behind the read storm.
+  // windows there is no global order with more than one dispatcher —
+  // concurrent dispatchers interleave freely; a client that needs a query
+  // to observe its own earlier delta must wait on the delta's future first
+  // (or run a single-dispatcher service). Each batch holds the exclusive
+  // gate side — writer priority means it does not starve behind the read
+  // storm.
   for (Request& r : *chunk) {
     if (r.kind != Request::Kind::kDeltas) continue;
     DeltaResponse resp;
     {
       WriterGateLock wl(&gate_);
-      CoherenceSnapshot pre = CoherenceNow();
-      Result<MaintenanceStats> st =
-          engine_ != nullptr ? engine_->Apply(r.deltas, r.policy)
-                             : sharded_->Apply(r.deltas, r.policy);
+      CoherenceSnapshot pre = engine_->Coherence();
+      Result<MaintenanceStats> st = engine_->Apply(r.deltas, r.policy);
       if (st.ok()) {
         resp.stats = *st;
       } else {
         resp.status = st.status();
       }
-      CoherenceSnapshot post = CoherenceNow();
+      CoherenceSnapshot post = engine_->Coherence();
       if (opts_.result_cache && post != pre) {
         // The snapshot moved: push the applied batch through the cache while
         // still holding the exclusive side — executions (and therefore
@@ -326,10 +301,8 @@ void QueryService::ProcessChunk(std::vector<Request>* chunk) {
         // byte budget now rather than at their next lookup.
         if (st.ok() && opts_.result_cache_refresh &&
             post.schema_epoch == pre.schema_epoch) {
-          const std::vector<Delta>& applied =
-              engine_ != nullptr ? engine_->last_applied().deltas
-                                 : sharded_->last_applied().deltas;
-          RefreshSummary sum = rcache_.Refresh(gate_, applied, pre, post);
+          RefreshSummary sum = rcache_.Refresh(
+              gate_, engine_->last_applied().deltas, pre, post);
           if (!sum.fallback_fingerprints.empty()) {
             // Fingerprints whose handles just proved churn-hostile: defer
             // their next (execution-priced) rebuild by one read, so a view
@@ -377,9 +350,9 @@ void QueryService::ProcessChunk(std::vector<Request>* chunk) {
       // The shared hold excludes writers, so this snapshot is what the
       // execution below runs under — exactly the freshness a result
       // inserted against it can claim.
-      CoherenceSnapshot snap = CoherenceNow();
+      CoherenceSnapshot snap = engine_->Coherence();
       // Dispatch-side cache re-check: an identical execution may have
-      // completed (earlier window, other shard) between this group's
+      // completed (earlier window, other dispatcher) between this group's
       // admission and now.
       if (TryServeFromResultCache(leader->fingerprint, snap, &resp)) {
         (resp.result_refreshed ? rc_refreshed_hits_ : rc_window_hits_)
@@ -390,15 +363,9 @@ void QueryService::ProcessChunk(std::vector<Request>* chunk) {
         if (!pin.ok()) {
           resp.status = pin.status();
         } else if ((*pin)->info.covered) {
-          // The pinned path: no plan-cache lock anywhere in here. Sharded
-          // mode scatters the fetch steps across shards; the gather merge
-          // yields the same byte-identical stream either way.
-          Result<ExecuteResult> r =
-              engine_ != nullptr
-                  ? engine_->ExecutePrepared(**pin, leader->id,
-                                             opts_.exec_threads)
-                  : sharded_->ExecutePrepared(**pin, leader->id,
-                                              opts_.exec_threads);
+          // The pinned path: no plan-cache lock anywhere in here.
+          Result<ExecuteResult> r = engine_->ExecutePrepared(
+              **pin, leader->id, opts_.exec_threads);
           executed_.fetch_add(1, std::memory_order_relaxed);
           if (r.ok()) {
             resp.table = std::make_shared<const Table>(std::move(r->table));
@@ -410,11 +377,8 @@ void QueryService::ProcessChunk(std::vector<Request>* chunk) {
         } else {
           // Non-covered: the baseline fallback needs the original query, so
           // route through Execute() (its re-prepare is a cache hit). Still
-          // one execution per coalesced group. Sharded mode serves this
-          // from its full fallback replica.
-          Result<ExecuteResult> r = engine_ != nullptr
-                                        ? engine_->Execute(leader->query)
-                                        : sharded_->Execute(leader->query);
+          // one execution per coalesced group.
+          Result<ExecuteResult> r = engine_->Execute(leader->query);
           executed_.fetch_add(1, std::memory_order_relaxed);
           if (r.ok()) {
             resp.table = std::make_shared<const Table>(std::move(r->table));
@@ -467,27 +431,8 @@ void QueryService::ProcessChunk(std::vector<Request>* chunk) {
                     ? opts_.result_cache_maint_bytes
                     : std::min(kMaintBytesCap, opts_.result_cache_bytes / 8);
             bool oversized = false;
-            // Sharded mode: the plan's fetch bindings belong to the
-            // planning shard's (partial) index replica, so redirect every
-            // maintenance probe to the key's owning shard — the one whose
-            // bucket is byte-identical to a single engine's — and every
-            // bucket patch-log read to the per-shard logs with the same
-            // ownership routing.
-            IndexFetchFn fetch;
-            IndexPatchLogFn log;
-            if (sharded_ != nullptr) {
-              fetch = [this](const AccessIndex& idx, const Tuple& key) {
-                return sharded_->RoutedFetch(idx, key);
-              };
-              log = [this](const AccessIndex& idx,
-                           std::vector<uint64_t>* stamp,
-                           std::vector<BucketPatch>* out) {
-                return sharded_->RoutedPatchLog(idx, stamp, out);
-              };
-            }
             maint = PlanMaintenance::Build(gate_, maintainable, *resp.table,
-                                           maint_bound, &oversized,
-                                           std::move(fetch), std::move(log));
+                                           maint_bound, &oversized);
             if (oversized) DeclineMaintenance(leader->fingerprint);
           }
           // Insert under the same gate hold the execution ran in: `snap`
@@ -537,34 +482,11 @@ ServiceStats QueryService::stats() const {
   s.result_hits_refreshed = rc_refreshed_hits_.load(std::memory_order_relaxed);
   s.maint_declined = maint_declines_.load(std::memory_order_relaxed);
   s.maint_lazy_rebuilds = maint_lazy_rebuilds_.load(std::memory_order_relaxed);
-  CoherenceSnapshot snap = CoherenceNow();
+  CoherenceSnapshot snap = engine_->Coherence();
   s.schema_epoch = snap.schema_epoch;
   s.data_epoch = snap.data_epoch;
   s.result_cache = rcache_.stats();
-  s.engine = engine_ != nullptr ? engine_->plan_cache_stats()
-                                : sharded_->plan_cache_stats();
-  if (sharded_ != nullptr) {
-    // Per-shard section, folded inside the same read hold: no delta batch
-    // is mid-apply, so every shard's epochs were taken at one quiescent
-    // point and the skew numbers compare like with like.
-    uint64_t max_routed = 0;
-    uint64_t min_routed = ~uint64_t{0};
-    for (size_t i = 0; i < sharded_->num_shards(); ++i) {
-      cluster::ShardStatsSnapshot sh = sharded_->shard_stats(i);
-      ServiceStats::ShardSection sec;
-      sec.schema_epoch = sh.coherence.schema_epoch;
-      sec.data_epoch = sh.coherence.data_epoch;
-      sec.scatter_tasks = sh.scatter_tasks;
-      sec.delta_batches = sh.delta_batches;
-      sec.deltas_routed = sh.deltas_routed;
-      s.scatter_tasks += sh.scatter_tasks;
-      max_routed = std::max(max_routed, sh.deltas_routed);
-      min_routed = std::min(min_routed, sh.deltas_routed);
-      s.engine_shards.push_back(sec);
-    }
-    s.shard_skew_max = max_routed;
-    s.shard_skew_min = s.engine_shards.empty() ? 0 : min_routed;
-  }
+  s.engine = engine_->plan_cache_stats();
   return s;
 }
 

@@ -11,7 +11,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "cluster/sharded_engine.h"
 #include "common/mutex.h"
 #include "common/rw_gate.h"
 #include "common/thread_annotations.h"
@@ -27,8 +26,9 @@ namespace serve {
 
 /// Serving-layer configuration.
 struct ServiceOptions {
-  /// Dispatcher (shard-worker) threads. Each drains chunks off the shared
-  /// admission queue and runs its chunk's executions; concurrent shards are
+  /// Dispatcher threads (named `shards` because servebench and the benches
+  /// set it under that name). Each drains chunks off the shared admission
+  /// queue and runs its chunk's executions; concurrent dispatchers are
   /// concurrent queries, fair-shared across the WorkerPool via per-request
   /// task-group tags.
   size_t shards = 2;
@@ -55,8 +55,8 @@ struct ServiceOptions {
   /// Max pinned PreparedQuery entries the service holds; incoherent pins
   /// are dropped first when the map fills (mirrors the engine cache).
   size_t pin_capacity = 256;
-  /// Morsel workers per execution — the shard-aware partition of the
-  /// WorkerPool: with `shards` dispatchers executing concurrently, each
+  /// Morsel workers per execution — the WorkerPool split across
+  /// dispatchers: with `shards` dispatchers executing concurrently, each
   /// request gets hardware/shards workers (0 = that auto value, min 1)
   /// instead of every request fanning out onto the full pool and
   /// oversubscribing it. Fair-share across the concurrent task groups does
@@ -158,21 +158,6 @@ struct ServiceStats {
   uint64_t maint_lazy_rebuilds = 0;
   uint64_t data_epoch = 0;     ///< Engine data epoch at snapshot.
   uint64_t schema_epoch = 0;   ///< Engine bounds/schema epoch at snapshot.
-  /// Per-shard section, sharded mode only (empty otherwise). Folded in the
-  /// same one-pass consistent snapshot as the rest: the read-side gate hold
-  /// excludes delta application, so per-shard epochs sum to `data_epoch` /
-  /// `schema_epoch` exactly (modulo the fallback replica's share).
-  struct ShardSection {
-    uint64_t schema_epoch = 0;   ///< This shard's bounds/schema epoch.
-    uint64_t data_epoch = 0;     ///< This shard's data epoch.
-    uint64_t scatter_tasks = 0;  ///< Scatter fetch tasks executed here.
-    uint64_t delta_batches = 0;  ///< Delta sub-batches routed here.
-    uint64_t deltas_routed = 0;  ///< Deltas those sub-batches carried.
-  };
-  std::vector<ShardSection> engine_shards;
-  uint64_t scatter_tasks = 0;   ///< Total scatter tasks across shards.
-  uint64_t shard_skew_max = 0;  ///< Max per-shard scatter task count.
-  uint64_t shard_skew_min = 0;  ///< Min per-shard scatter task count.
   /// Result-cache counters (internally consistent; see ResultCacheStats).
   ResultCacheStats result_cache;
   /// Engine plan-cache counters (lock-free) — including the pipeline-
@@ -291,7 +276,7 @@ class BatchWindowController {
 ///   1. *Admission.* Submit()/SubmitDeltas() enqueue onto one bounded MPMC
 ///      queue and return a future. Backpressure (Push blocks) or load-shed
 ///      (TrySubmit fails) beyond queue_capacity.
-///   2. *Batching.* A shard worker drains a chunk of up to batch_window
+///   2. *Batching.* A dispatcher drains a chunk of up to batch_window
 ///      requests and groups the queries by engine fingerprint: each group
 ///      is one compile + one execution, fanned out to every caller in the
 ///      group as a shared immutable table. Deltas in the chunk are applied
@@ -303,7 +288,7 @@ class BatchWindowController {
 ///      touches the plan-cache lock — across data-only Apply batches the
 ///      serving path holds no lock but the read side of the writer-priority
 ///      gate.
-///   4. *Sharded execution.* Each in-flight request's morsel work enters
+///   4. *Fair-share execution.* Each in-flight request's morsel work enters
 ///      the WorkerPool as a task group tagged with the request id;
 ///      concurrent requests fair-share pool threads round-robin instead of
 ///      serializing behind one global morsel loop.
@@ -319,20 +304,6 @@ class QueryService {
  public:
   explicit QueryService(BoundedEngine* engine, ServiceOptions opts = {});
 
-  /// Sharded mode: the same serving surface over a cluster::ShardedEngine.
-  /// Admission, coalescing, pinning and the result cache stay *global* —
-  /// cache keys fold the per-shard epochs through the merged
-  /// CoherenceSnapshot — while execution scatters fetches across shards
-  /// and SubmitDeltas splits each batch by slot. The service's own
-  /// writer-priority gate layers *above* the per-shard gates (global
-  /// first, then shards — acyclic), which restores whole-query snapshot
-  /// isolation over the shards exactly as in single-engine mode; the
-  /// per-shard gates still let the sharded engine be used directly (e.g.
-  /// by a bench) alongside nothing else. Maintenance handles route their
-  /// index probes through ShardedEngine::RoutedFetch so IVM refresh reads
-  /// each key's owning shard.
-  explicit QueryService(cluster::ShardedEngine* sharded,
-                        ServiceOptions opts = {});
   ~QueryService();  ///< Shutdown(): drains the queue, joins dispatchers.
 
   QueryService(const QueryService&) = delete;
@@ -372,10 +343,7 @@ class QueryService {
   /// against delta application but never against executions.
   ServiceStats stats() const;
 
-  /// Single-engine mode only (null in sharded mode — use sharded()).
   const BoundedEngine& engine() const { return *engine_; }
-  /// Sharded mode only; nullptr in single-engine mode.
-  const cluster::ShardedEngine* sharded() const { return sharded_; }
 
  private:
   struct Request {
@@ -389,17 +357,6 @@ class QueryService {
     std::promise<DeltaResponse> delta_promise;
   };
 
-  /// Both public constructors delegate here; exactly one of engine /
-  /// sharded is non-null.
-  QueryService(BoundedEngine* engine, cluster::ShardedEngine* sharded,
-               ServiceOptions opts);
-
-  /// The backing engine's lock-free coherence snapshot (merged over shards
-  /// in sharded mode).
-  CoherenceSnapshot CoherenceNow() const {
-    return engine_ != nullptr ? engine_->Coherence() : sharded_->Coherence();
-  }
-
   Request MakeQueryRequest(RaExprPtr query);
   /// Pushes `r` (blocking admission or load-shed) and counts the outcome —
   /// successful admissions also feed the adaptive-window arrival tracker.
@@ -409,7 +366,7 @@ class QueryService {
   /// The drain window for the next chunk: the adaptive EWMA value, or the
   /// fixed batch_window when adaptivity is off.
   size_t EffectiveWindow() const;
-  void ShardMain();
+  void DispatchMain();
   void ProcessChunk(std::vector<Request>* chunk);
   /// Resolves the pinned plan for one fingerprint (pin map first, then
   /// PrepareCompiled), under the read gate — the shared hold is what keeps
@@ -431,8 +388,7 @@ class QueryService {
                                const CoherenceSnapshot& now,
                                QueryResponse* resp);
 
-  BoundedEngine* engine_;                ///< Single-engine mode; else null.
-  cluster::ShardedEngine* sharded_;      ///< Sharded mode; else null.
+  BoundedEngine* engine_;
   ServiceOptions opts_;
   BoundedMpmcQueue<Request> queue_;
   BatchWindowController window_;

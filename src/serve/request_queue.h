@@ -13,8 +13,8 @@ namespace bqe {
 namespace serve {
 
 /// The serving layer's admission queue: a bounded MPMC FIFO. Producers are
-/// client threads (Submit/SubmitDeltas), consumers are the service's shard
-/// workers, which drain *chunks* — PopChunk hands a worker up to `max`
+/// client threads (Submit/SubmitDeltas), consumers are the service's
+/// dispatchers, which drain *chunks* — PopChunk hands a worker up to `max`
 /// queued requests in one lock round-trip, and that drained chunk is the
 /// batching window the dispatcher coalesces same-fingerprint requests
 /// within. Bounded so admission is backpressure (Push blocks) or load-shed

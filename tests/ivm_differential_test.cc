@@ -353,6 +353,55 @@ TEST(IvmGraphChurnDifferentialTest, MixedChurnStaysMaintainableAndExact) {
   ExpectSameBag(*patched, fresh->table, "targeted delete");
 }
 
+/// The retained-state byte estimate must track the state, not its history:
+/// after a long run of insert+delete churn that keeps the instance the same
+/// size, a handle's ApproxBytes() stays within 1 % of a handle built fresh
+/// over the same result. (An estimate that charged a row's capacity on
+/// insert and credited its stored copy's capacity on removal would creep
+/// upward batch by batch until the result cache evicted views it had room
+/// for.)
+TEST(IvmGraphChurnDifferentialTest, ByteEstimateDoesNotDriftUnderChurn) {
+  GraphChurnFixture fx = MakeGraphChurnFixture();
+  BoundedEngine engine(&fx.db, fx.schema, DeterministicOptions(2));
+  ASSERT_TRUE(engine.BuildIndices().ok());
+  WriterPriorityGate gate;
+
+  Result<std::shared_ptr<const PreparedQuery>> pq =
+      engine.PrepareCompiled(FriendsNycCafesQuery(fx.cfg.Pid(0)));
+  ASSERT_TRUE(pq.ok());
+  ASSERT_TRUE((*pq)->info.covered);
+  Result<ExecuteResult> first = engine.ExecutePrepared(**pq);
+  ASSERT_TRUE(first.ok());
+  std::shared_ptr<const Table> cur =
+      std::make_shared<const Table>(std::move(first->table));
+  std::unique_ptr<PlanMaintenance> maint =
+      BuildMaintained(&gate, (*pq)->physical, *cur);
+  ASSERT_NE(maint, nullptr);
+
+  for (int b = 0; b < 400; ++b) {
+    std::vector<Delta> batch = GraphChurnMixedBatch(fx.cfg, "drift", b);
+    ASSERT_TRUE(engine.Apply(batch).ok()) << "batch " << b;
+    std::shared_ptr<const Table> patched;
+    ASSERT_EQ(RefreshMaintained(&gate, maint.get(), batch, cur, &patched,
+                                nullptr),
+              RefreshOutcome::kRefreshed)
+        << "batch " << b;
+    cur = patched;
+  }
+  Result<ExecuteResult> fresh = engine.ExecutePrepared(**pq);
+  ASSERT_TRUE(fresh.ok());
+  ExpectSameBag(*cur, fresh->table, "after 400 batches");
+
+  std::unique_ptr<PlanMaintenance> rebuilt =
+      BuildMaintained(&gate, (*pq)->physical, *cur);
+  ASSERT_NE(rebuilt, nullptr);
+  const double kept = static_cast<double>(maint->ApproxBytes());
+  const double want = static_cast<double>(rebuilt->ApproxBytes());
+  EXPECT_NEAR(kept, want, 0.01 * want)
+      << "refreshed handle estimate " << kept << " B vs fresh Build " << want
+      << " B";
+}
+
 /// The spec-mandated refusal: a deletion reaching a difference subtrahend
 /// can resurrect result rows whose support the difference forgot, so
 /// Refresh() must report kNotMaintainable (and keep reporting it — the

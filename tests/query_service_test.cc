@@ -536,6 +536,75 @@ TEST(QueryServiceTest, OversizedMaintenanceHandleIsDeclinedOnce) {
   EXPECT_EQ(stats.result_cache.refresh_fallbacks, 0u);
 }
 
+/// After an IVM refresh fallback, the fingerprint's next execution skips the
+/// handle rebuild (counted in maint_lazy_rebuilds) and the one after
+/// rebuilds normally.
+TEST(QueryServiceTest, LazyRebuildAfterIvmFallback) {
+  GraphChurnFixture fx = MakeGraphChurnFixture();
+  GraphChurnFixture fx_oracle = MakeGraphChurnFixture();  // Identical twin.
+  BoundedEngine engine(&fx.db, fx.schema, DeterministicOptions());
+  ASSERT_TRUE(engine.BuildIndices().ok());
+  BoundedEngine oracle(&fx_oracle.db, fx_oracle.schema, DeterministicOptions());
+  ASSERT_TRUE(oracle.BuildIndices().ok());
+  QueryService service(&engine);
+  const workload::GraphChurnConfig& cfg = fx.cfg;
+  RaExprPtr q = workload::FriendsMayNotJuneCafesQuery(cfg.Pid(0));
+
+  // ASSERT macros only work in void-returning scopes, so the lambda hands
+  // its response back through `last` instead of a return value.
+  QueryResponse last;
+  auto query_and_check = [&](const std::string& ctx) {
+    QueryResponse resp = service.Query(q);
+    ASSERT_TRUE(resp.status.ok()) << ctx << ": " << resp.status.ToString();
+    ASSERT_NE(resp.table, nullptr) << ctx;
+    Result<ExecuteResult> want = oracle.Execute(q);
+    ASSERT_TRUE(want.ok()) << ctx;
+    ExpectSameBag(*resp.table, want->table, ctx);
+    last = std::move(resp);
+  };
+  auto apply_both = [&](std::vector<Delta> batch, const std::string& ctx) {
+    ASSERT_TRUE(oracle.Apply(batch).ok()) << ctx;
+    DeltaResponse dr = service.ApplyDeltas(std::move(batch));
+    ASSERT_TRUE(dr.status.ok()) << ctx << ": " << dr.status.ToString();
+  };
+
+  query_and_check("first execution (no handle: no demonstrated reuse)");
+  apply_both(workload::GraphChurnJuneBatch(cfg, 0), "june 0");  // Insert-only.
+  query_and_check("second execution (pin hit: handle built)");
+  // Insert-only june churn: maintainable, entries patched in place.
+  for (int b = 1; b <= 3; ++b) {
+    apply_both(workload::GraphChurnJuneBatch(cfg, b),
+               "june " + std::to_string(b));
+  }
+  query_and_check("after maintainable batches");
+  EXPECT_TRUE(last.result_cache_hit)
+      << "maintainable churn must keep the entry serving from cache";
+  EXPECT_TRUE(last.result_refreshed);
+
+  // Batch 4 deletes batch 0's june row: a subtrahend deletion, the one
+  // delta shape the difference plan refuses to maintain. The entry falls
+  // back and its rebuild is deferred.
+  apply_both(workload::GraphChurnJuneBatch(cfg, 4),
+             "june 4 (subtrahend delete)");
+  query_and_check("post-fallback execution (rebuild skipped)");
+  ServiceStats mid = service.stats();
+  EXPECT_EQ(mid.maint_lazy_rebuilds, 1u);
+  EXPECT_GE(mid.result_cache.refresh_fallbacks, 1u);
+
+  // Next cycle: the entry (cached handle-less) is swept by the batch, and
+  // the following execution rebuilds normally — proven by the entry
+  // surviving the batch after *that* via a refresh.
+  apply_both(workload::GraphChurnJuneBatch(cfg, 10, /*lag=*/20), "june 10");
+  query_and_check("rebuild execution");
+  apply_both(workload::GraphChurnJuneBatch(cfg, 11, /*lag=*/20), "june 11");
+  query_and_check("after rebuilt handle refresh");
+  EXPECT_TRUE(last.result_cache_hit);
+  EXPECT_TRUE(last.result_refreshed);
+  ServiceStats end = service.stats();
+  EXPECT_EQ(end.maint_lazy_rebuilds, 1u) << "exactly one deferred rebuild";
+  EXPECT_GT(end.result_cache.refreshes, 0u);
+}
+
 TEST(QueryServiceTest, RequestAccountingStaysFiveWayExactUnderRefresh) {
   GraphChurnFixture fx = MakeGraphChurnFixture();
   BoundedEngine engine(&fx.db, fx.schema, DeterministicOptions());
